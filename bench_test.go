@@ -44,9 +44,11 @@ func syntheticBench(b *testing.B, app func(*machine.Machine, core.Policy, locks.
 	o := benchOpts()
 	pats := exper.Patterns(o)
 	var cycles, updates float64
+	var slot exper.MachineSlot
+	defer slot.Close()
 	for i := 0; i < b.N; i++ {
 		for _, pat := range pats {
-			m := exper.NewMachine(o, bar)
+			m := slot.Machine(exper.MachineConfig(o, bar))
 			res := app(m, bar.Policy, bar.Opts(), pat)
 			cycles += float64(res.Elapsed)
 			updates += float64(res.Updates)
@@ -93,8 +95,12 @@ func BenchmarkFig2(b *testing.B) {
 			app, pol := app, pol
 			b.Run(app.String()+"/"+pol.String(), func(b *testing.B) {
 				var uncontended, writeRun float64
+				var slot exper.MachineSlot
+				defer slot.Close()
 				for i := 0; i < b.N; i++ {
-					m, _ := exper.RunReal(app, o, exper.Bar{Policy: pol, Prim: locks.PrimFAP})
+					bar := exper.Bar{Policy: pol, Prim: locks.PrimFAP}
+					m := slot.Machine(exper.MachineConfig(o, bar))
+					exper.Point{App: app, Bar: bar, Scale: o}.RunOn(m)
 					uncontended = m.System().Contention().Histogram().Percent(1)
 					wr := m.System().WriteRuns()
 					wr.Flush()
@@ -127,8 +133,10 @@ func BenchmarkFig6(b *testing.B) {
 			app, bar := app, bar
 			b.Run(app.String()+"/"+bar.Label, func(b *testing.B) {
 				var elapsed uint64
+				var slot exper.MachineSlot
+				defer slot.Close()
 				for i := 0; i < b.N; i++ {
-					_, elapsed = exper.RunReal(app, o, bar)
+					elapsed = exper.Point{App: app, Bar: bar, Scale: o}.RunSlot(&slot, false).Elapsed
 				}
 				b.ReportMetric(float64(elapsed), "sim-cycles")
 			})
@@ -193,12 +201,14 @@ func BenchmarkAblationResvScheme(b *testing.B) {
 		s := s
 		b.Run(s.name, func(b *testing.B) {
 			var avg float64
+			var slot exper.MachineSlot
+			defer slot.Close()
 			for i := 0; i < b.N; i++ {
 				cfg := core.DefaultConfig()
 				cfg.Nodes = 16
 				cfg.Mesh.Width, cfg.Mesh.Height = 4, 4
 				cfg.ResvScheme = s.scheme
-				m := machine.New(cfg)
+				m := slot.Machine(cfg)
 				res := apps.CounterApp(m, core.PolicyUNC,
 					locks.Options{Prim: locks.PrimLLSC},
 					apps.Pattern{Contention: 16, Rounds: 6})
@@ -220,12 +230,14 @@ func BenchmarkAblationBareSCRelease(b *testing.B) {
 		}
 		b.Run(name, func(b *testing.B) {
 			var elapsed float64
+			var slot exper.MachineSlot
+			defer slot.Close()
 			for i := 0; i < b.N; i++ {
 				cfg := core.DefaultConfig()
 				cfg.Nodes = 16
 				cfg.Mesh.Width, cfg.Mesh.Height = 4, 4
 				cfg.ResvScheme = dir.ResvSerial
-				m := machine.New(cfg)
+				m := slot.Machine(cfg)
 				l := locks.NewMCSLock(m, core.PolicyUNC, locks.Options{Prim: locks.PrimLLSC})
 				l.BareSCRelease = bare
 				shared := m.Alloc(4)
@@ -252,11 +264,13 @@ func BenchmarkAblationBackoffBound(b *testing.B) {
 		maxB := maxB
 		b.Run(fmt.Sprintf("max=%d", maxB), func(b *testing.B) {
 			var avg float64
+			var slot exper.MachineSlot
+			defer slot.Close()
 			for i := 0; i < b.N; i++ {
 				cfg := core.DefaultConfig()
 				cfg.Nodes = 16
 				cfg.Mesh.Width, cfg.Mesh.Height = 4, 4
-				m := machine.New(cfg)
+				m := slot.Machine(cfg)
 				l := locks.NewTTSLock(m, core.PolicyINV, locks.Options{Prim: locks.PrimFAP})
 				l.MaxBackoff = sim.Time(maxB)
 				counter := m.Alloc(4)
@@ -286,12 +300,14 @@ func BenchmarkAblationRouterContention(b *testing.B) {
 		}
 		b.Run(name, func(b *testing.B) {
 			var avg float64
+			var slot exper.MachineSlot
+			defer slot.Close()
 			for i := 0; i < b.N; i++ {
 				cfg := core.DefaultConfig()
 				cfg.Nodes = 16
 				cfg.Mesh.Width, cfg.Mesh.Height = 4, 4
 				cfg.Mesh.ModelRouters = routed
-				m := machine.New(cfg)
+				m := slot.Machine(cfg)
 				res := apps.CounterApp(m, core.PolicyUNC,
 					locks.Options{Prim: locks.PrimFAP},
 					apps.Pattern{Contention: 16, Rounds: 8})
@@ -311,8 +327,10 @@ func BenchmarkAblationWriteRunCrossover(b *testing.B) {
 			pol := pol
 			b.Run(fmt.Sprintf("%s/a=%g", pol, a), func(b *testing.B) {
 				var avg float64
+				var slot exper.MachineSlot
+				defer slot.Close()
 				for i := 0; i < b.N; i++ {
-					m := exper.NewMachine(benchOpts(), exper.Bar{})
+					m := slot.Machine(exper.MachineConfig(benchOpts(), exper.Bar{}))
 					res := apps.CounterApp(m, pol, locks.Options{Prim: locks.PrimFAP},
 						apps.Pattern{Contention: 1, WriteRun: a, Rounds: 8})
 					avg = res.AvgCycles
@@ -332,12 +350,14 @@ func BenchmarkAblationMemLatency(b *testing.B) {
 			pol := pol
 			b.Run(fmt.Sprintf("%s/mem=%d", pol, lat), func(b *testing.B) {
 				var avg float64
+				var slot exper.MachineSlot
+				defer slot.Close()
 				for i := 0; i < b.N; i++ {
 					cfg := core.DefaultConfig()
 					cfg.Nodes = 16
 					cfg.Mesh.Width, cfg.Mesh.Height = 4, 4
 					cfg.Mem.Latency = sim.Time(lat)
-					m := machine.New(cfg)
+					m := slot.Machine(cfg)
 					res := apps.CounterApp(m, pol, locks.Options{Prim: locks.PrimFAP},
 						apps.Pattern{Contention: 8, Rounds: 6})
 					avg = res.AvgCycles

@@ -113,7 +113,9 @@ func main() {
 	}
 	// The machine is built here rather than inside exper.Point.Run so a
 	// tracer can be attached before the run and its state read after.
-	m := exper.NewMachine(pt.Scale, bar)
+	var slot exper.MachineSlot
+	defer slot.Close()
+	m := slot.Machine(exper.MachineConfig(pt.Scale, bar))
 	var tr *trace.Buffer
 	if *traceN > 0 {
 		tr = trace.New(*traceN)

@@ -11,10 +11,12 @@
 // compare_and_swap variants INVd and INVs, and the auxiliary instructions
 // load_exclusive and drop_copy.
 //
-// Application code runs one goroutine per simulated processor against the
-// Proc interface, exactly as the paper drives its back end with MINT:
+// Application code runs on one coroutine per simulated processor against
+// the Proc interface, exactly as the paper drives its back end with MINT.
+// The coroutines live as long as the machine, so close it when done:
 //
 //	m := dsm.New64()
+//	defer m.Close()
 //	counter := m.AllocSync(dsm.INV)
 //	m.Run(func(p *dsm.Proc) {
 //	    p.FetchAdd(counter, 1)
@@ -161,7 +163,7 @@ const (
 // 32-byte blocks, queued memory.
 func DefaultConfig() Config { return core.DefaultConfig() }
 
-// NewMachine builds a machine from a configuration.
+// NewMachine builds a machine from a configuration. Close it when done.
 func NewMachine(cfg Config) *Machine { return machine.New(cfg) }
 
 // New64 builds the paper's 64-processor machine with default settings.

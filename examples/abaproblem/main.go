@@ -33,6 +33,7 @@ func main() {
 // the adversary (pop 1, pop 2, push 1), and reports the outcome.
 func stage(prim dsm.Prim) (topAfter, victimPopped dsm.Word) {
 	m := dsm.NewSmall(4)
+	defer m.Close()
 	s := dsm.NewStack(m, dsm.INV, 4, dsm.Options{Prim: prim})
 	windowOpen := m.Alloc(4)
 	adversaryDone := m.Alloc(4)

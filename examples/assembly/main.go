@@ -76,5 +76,6 @@ func main() {
 		}
 		fmt.Printf("  %-28s %8d cycles  %6d instructions  %s\n",
 			pr.name, elapsed, instructions, ok)
+		m.Close()
 	}
 }

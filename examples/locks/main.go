@@ -37,6 +37,7 @@ type acquirer interface {
 
 func contend(name string, mk func(m *dsm.Machine) acquirer) dsm.Time {
 	m := dsm.NewSmall(procs)
+	defer m.Close()
 	l := mk(m)
 	shared := m.Alloc(4)
 	elapsed := m.Run(func(p *dsm.Proc) {

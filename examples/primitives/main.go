@@ -36,12 +36,14 @@ func main() {
 		m := dsm.NewSmall(procs)
 		res := dsm.CounterApp(m, v.policy, v.opts, pattern)
 		fmt.Printf("  %-42s %8.1f\n", v.name, res.AvgCycles)
+		m.Close()
 	}
 
 	// The paper's conclusion in one contrast: a migratory read-modify-write
 	// done with plain-load+CAS pays an upgrade miss on every CAS; reading
 	// with load_exclusive makes the CAS a local hit.
 	m := dsm.NewSmall(2)
+	defer m.Close()
 	a := m.AllocSyncAt(1, dsm.INV) // homed away from the requester
 	progs := make([]func(*dsm.Proc), m.Procs())
 	progs[0] = func(p *dsm.Proc) {

@@ -23,5 +23,6 @@ func main() {
 
 		fmt.Printf("%s: counter=%d after %d cycles on %d processors\n",
 			policy, m.Peek(counter), elapsed, m.Procs())
+		m.Close() // stops the processors' coroutines
 	}
 }

@@ -47,5 +47,6 @@ func main() {
 		hist := m.System().Contention().Histogram()
 		fmt.Printf("  %-36s %9d cycles  result=%s  peak contention=%d\n",
 			v.name, res.Elapsed, status, hist.Max())
+		m.Close()
 	}
 }

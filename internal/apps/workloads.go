@@ -151,8 +151,8 @@ func workVal(round, procs, id, it int) arch.Word {
 }
 
 // record appends one op to h (nil h skips recording). Histories are
-// written from proc goroutines; the engine's single-runnable discipline
-// serializes them.
+// written from processor coroutines; the engine runs them one at a time,
+// which serializes them.
 func record(h *check.History, p *machine.Proc, kind check.Kind, invoke sim.Time, v arch.Word) {
 	if h != nil {
 		h.Record(check.Op{Proc: p.ID(), Invoke: invoke, Respond: p.Now(), Kind: kind, Value: v})

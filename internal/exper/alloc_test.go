@@ -12,8 +12,8 @@ import (
 // The core-level TestHotPathZeroAlloc pins the protocol/engine loop at zero
 // steady-state allocations. These tests pin the *benchmarked* path — the
 // full machine stack exactly as hostbench.MachineRun drives it — so a
-// regression anywhere above the engine (machine reset, proc goroutine
-// launch, barrier release, app closures, tracker reuse) fails CI rather
+// regression anywhere above the engine (machine reset, proc coroutine
+// switches, barrier release, app closures, tracker reuse) fails CI rather
 // than silently re-inflating HostMachine's allocs/op, as happened between
 // PR 3 and PR 7.
 
@@ -26,22 +26,24 @@ func benchPoint() (exper.Bar, exper.RunOpts, apps.Pattern) {
 	return bar, o, pat
 }
 
-// TestHotPathZeroAllocMachinePool pins the pooled one-off path (what
-// hostbench.MachineRun measures): acquire, run, release.
+// TestHotPathZeroAllocMachinePool pins the one-off path hostbench.MachineRun
+// measures: a caller-owned slot held across runs, each run taking the
+// slot's machine and driving the app on it directly.
 func TestHotPathZeroAllocMachinePool(t *testing.T) {
 	bar, o, pat := benchPoint()
+	var s exper.MachineSlot
+	defer s.Close()
+	cfg := exper.MachineConfig(o, bar)
 	run := func() {
-		m := exper.NewMachine(o, bar)
-		apps.CounterApp(m, bar.Policy, bar.Opts(), pat)
-		exper.ReleaseMachine(m)
+		apps.CounterApp(s.Machine(cfg), bar.Policy, bar.Opts(), pat)
 	}
-	// Warm the pool, the engine free lists, and the app runner before
+	// Warm the slot, the engine free lists, and the app runner before
 	// measuring the steady state.
 	for i := 0; i < 3; i++ {
 		run()
 	}
 	if n := testing.AllocsPerRun(10, run); n != 0 {
-		t.Fatalf("pooled machine run allocates %.1f times per run, want 0", n)
+		t.Fatalf("slot-owned machine run allocates %.1f times per run, want 0", n)
 	}
 }
 
@@ -50,6 +52,7 @@ func TestHotPathZeroAllocMachinePool(t *testing.T) {
 func TestHotPathZeroAllocMachineSlot(t *testing.T) {
 	bar, o, pat := benchPoint()
 	var s exper.MachineSlot
+	defer s.Close()
 	pt := exper.Point{App: exper.AppCounter, Bar: bar, Scale: o, Pattern: pat}
 	run := func() { pt.RunSlot(&s, false) }
 	for i := 0; i < 3; i++ {

@@ -2,9 +2,9 @@
 // (which workload, under which primitive/policy bar, at what scale and
 // sharing pattern) and executes it. A Point names one simulation, a Plan is
 // an ordered list of points, and Run fans a plan's points across host
-// workers, drawing machines from a reuse pool and returning results — with
-// optional byte-stable measurement reports — in plan order regardless of
-// completion order.
+// workers, each reusing the machines of its own slot, and returns results
+// — with optional byte-stable measurement reports — in plan order
+// regardless of completion order.
 //
 // Everything above the machine model goes through this package:
 // internal/figures renders plans as the paper's tables and figures,

@@ -1,33 +1,23 @@
 package exper
 
 import (
-	"sync"
-
 	"dsm/internal/core"
 	"dsm/internal/machine"
 )
 
-// Machine reuse comes in two forms, matched to how the caller runs:
-//
-//   - MachineSlot: per-worker ownership. A sweep worker (or serve pool
-//     worker) holds one slot for its lifetime and reuses its resident
-//     machine across jobs with no locking and no pooled/unpooled state
-//     transitions. This is the hot path — Plan.Run and the serving layer
-//     go through slots, so at GOMAXPROCS > 1 no two workers ever touch a
-//     shared structure between runs.
-//
-//   - machinePool (sync.Pool): a shared fallback for one-off runs with no
-//     worker identity (Table1, RunReal, cmd/dsmsim, ad-hoc benchmarks).
-//     The pool's cross-goroutine handoff and MarkPooled/ClearPooled
-//     double-release guard cost a few atomic operations per acquire, which
-//     is noise for a one-shot run but measurable per sweep point — which
-//     is why the sweep and serve paths retired it in favor of slots.
+// Machine reuse has one form, MachineSlot: per-worker ownership. A sweep
+// worker (or serve pool worker) holds one slot for its lifetime and reuses
+// its resident machines across jobs with no locking, so at GOMAXPROCS > 1
+// no two workers ever touch a shared structure between runs. A one-off
+// run (Point.Run, Table1, cmd/dsmsim) owns a slot for the run's length.
 //
 // Machine construction dominates short runs (the cache slabs alone are
 // ~100KB per node pair), and machine.Reset restores a used machine to a
-// state that replays a fresh one cycle for cycle, so either reuse form
-// changes host time only. Machines of mismatched geometry (Reset returns
-// false) are simply dropped back to the GC.
+// state that replays a fresh one cycle for cycle, so reuse changes host
+// time only. A machine holds its processors' coroutines until it is
+// closed, so a slot closes every machine it lets go of: the one it evicts
+// and, on Close, all it holds. A shared pool could not do that, since
+// sync.Pool drops its machines without telling anyone.
 
 // SlotMachines bounds how many machines of distinct geometry one slot
 // keeps resident. Mixed-geometry work (a sweep spanning several processor
@@ -42,7 +32,8 @@ const SlotMachines = 4
 // reset-and-reuses thereafter, evicting the least recently used machine
 // past the SlotMachines bound. A slot must only be used by one goroutine
 // at a time — that exclusivity is the point: no pool lock, no
-// double-release guard, no handoff between cores.
+// double-release guard, no handoff between cores. The owner calls Close
+// when done with the slot.
 type MachineSlot struct {
 	ms []*machine.Machine // most recently used first; len <= SlotMachines
 
@@ -52,10 +43,10 @@ type MachineSlot struct {
 
 // Machine returns a machine configured as cfg, reusing a resident machine
 // whose structure matches and building one otherwise. The returned machine
-// stays owned by the slot: do not release it to the shared pool, just call
-// Machine again for the next run. Matching is by attempted Reset — Reset
-// refuses structural mismatches and leaves the machine untouched, so
-// probing the residents in recency order is both the lookup and the reuse.
+// stays owned by the slot: do not close it, just call Machine again for the
+// next run. Matching is by attempted Reset — Reset refuses structural
+// mismatches and leaves the machine untouched, so probing the residents in
+// recency order is both the lookup and the reuse.
 func (s *MachineSlot) Machine(cfg core.Config) *machine.Machine {
 	for i, m := range s.ms {
 		if m.Reset(cfg) {
@@ -69,11 +60,13 @@ func (s *MachineSlot) Machine(cfg core.Config) *machine.Machine {
 	}
 	m := machine.New(cfg)
 	s.builds++
-	if len(s.ms) < SlotMachines {
+	// Shift right; when the slot is full this evicts the last (least
+	// recently used) machine.
+	if len(s.ms) == SlotMachines {
+		s.ms[SlotMachines-1].Close()
+	} else {
 		s.ms = append(s.ms, nil)
 	}
-	// Shift right; when the slot is full this drops the last (least
-	// recently used) machine to the garbage collector.
 	copy(s.ms[1:], s.ms)
 	s.ms[0] = m
 	return m
@@ -86,37 +79,16 @@ func (s *MachineSlot) Stats() (builds, resets uint64) { return s.builds, s.reset
 // Resident returns how many machines the slot currently keeps.
 func (s *MachineSlot) Resident() int { return len(s.ms) }
 
-// machinePool recycles machines between one-off runs that have no
-// per-worker slot to live in. See the package comment above for when to
-// use which.
-var machinePool sync.Pool
-
-// AcquireMachine returns a machine configured as cfg, reusing a pooled one
-// when its structure matches. Pair with ReleaseMachine.
-func AcquireMachine(cfg core.Config) *machine.Machine {
-	if m, ok := machinePool.Get().(*machine.Machine); ok {
-		m.ClearPooled()
-		if m.Reset(cfg) {
-			return m
-		}
+// Close closes every resident machine and empties the slot; the lifetime
+// counters Stats reports are kept. The slot stays usable: the next Machine
+// call builds afresh. Close is also how a worker recovers from a panicked
+// run, whose machine is left in an unknown state.
+func (s *MachineSlot) Close() {
+	for i, m := range s.ms {
+		m.Close()
+		s.ms[i] = nil
 	}
-	return machine.New(cfg)
-}
-
-// ReleaseMachine returns a machine to the reuse pool. The machine must be
-// quiescent (between runs) and must not be used by the caller afterwards.
-// Releasing the same machine twice panics: the second release would let
-// the pool hand one machine to two concurrent runs, corrupting both (the
-// same freed-flag discipline the pooled protocol messages enforce).
-func ReleaseMachine(m *machine.Machine) {
-	if m == nil {
-		return
-	}
-	if !m.MarkPooled() {
-		panic("exper: ReleaseMachine called twice on the same machine; " +
-			"the machine is pool property after the first release")
-	}
-	machinePool.Put(m)
+	s.ms = s.ms[:0]
 }
 
 // MachineConfig is the machine configuration a bar needs at the given
@@ -135,9 +107,8 @@ func MachineConfig(o RunOpts, b Bar) core.Config {
 	return cfg
 }
 
-// NewMachine builds (or recycles) a machine for one bar under the given
-// scale. Pair with ReleaseMachine when the machine's statistics are no
-// longer needed.
+// NewMachine builds a machine for one bar under the given scale. Close it
+// when its statistics are no longer needed.
 func NewMachine(o RunOpts, b Bar) *machine.Machine {
-	return AcquireMachine(MachineConfig(o, b))
+	return machine.New(MachineConfig(o, b))
 }

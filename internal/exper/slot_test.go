@@ -73,7 +73,7 @@ func TestMachineSlotReusesResidentMachine(t *testing.T) {
 	}
 }
 
-// TestRunSlotMatchesRun checks the slot path and the pooled one-off path
+// TestRunSlotMatchesRun checks the slot path and the one-off path
 // produce identical results for the same point — determinism is per run,
 // not per machine-ownership scheme.
 func TestRunSlotMatchesRun(t *testing.T) {
@@ -85,6 +85,7 @@ func TestRunSlotMatchesRun(t *testing.T) {
 	}
 	want := p.Run(false)
 	var s MachineSlot
+	defer s.Close()
 	for i := 0; i < 3; i++ {
 		if got := p.RunSlot(&s, false); got != want {
 			t.Fatalf("RunSlot pass %d: %+v != Run %+v", i, got, want)

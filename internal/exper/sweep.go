@@ -12,7 +12,8 @@ import (
 // it executes, so a job that runs its point on the slot's machine reuses
 // that machine across jobs with no pool round-trip and no cross-worker
 // contention — the per-worker ownership that lets a sweep actually scale
-// with GOMAXPROCS.
+// with GOMAXPROCS. Each worker closes its slot when it finishes, so a
+// sweep leaves no machine behind.
 //
 // Each simulation run owns its machine — engine, mesh, protocol state, RNG
 // streams, and statistics are all per-Machine, and the packages underneath
@@ -40,6 +41,7 @@ func SweepSlots(n, par int, job func(s *MachineSlot, i int)) {
 	}
 	if par == 1 {
 		var s MachineSlot
+		defer s.Close()
 		for i := 0; i < n; i++ {
 			job(&s, i)
 		}
@@ -52,6 +54,7 @@ func SweepSlots(n, par int, job func(s *MachineSlot, i int)) {
 		go func() {
 			defer wg.Done()
 			var s MachineSlot
+			defer s.Close()
 			for {
 				i := int(next.Add(1)) - 1
 				if i >= n {

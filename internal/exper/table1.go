@@ -22,9 +22,7 @@ func Table1() []Table1Row { return Table1Par(0) }
 // Table1Par is Table1 with an explicit sweep width (see Sweep).
 func Table1Par(par int) []Table1Row {
 	cfg := core.DefaultConfig()
-	measureStore := func(policy core.Policy, setup func(m *machine.Machine, a arch.Addr)) int {
-		m := AcquireMachine(cfg)
-		defer ReleaseMachine(m)
+	measureStore := func(m *machine.Machine, policy core.Policy, setup func(m *machine.Machine, a arch.Addr)) int {
 		a := m.AllocSyncAt(9, policy) // remote home for nodes 0-2
 		if setup != nil {
 			setup(m, a)
@@ -72,9 +70,9 @@ func Table1Par(par int) []Table1Row {
 	}
 
 	rows := make([]Table1Row, len(cases))
-	Sweep(len(cases), par, func(i int) {
+	SweepSlots(len(cases), par, func(s *MachineSlot, i int) {
 		c := cases[i]
-		rows[i] = Table1Row{Case: c.name, Paper: c.paper, Got: measureStore(c.policy, c.setup)}
+		rows[i] = Table1Row{Case: c.name, Paper: c.paper, Got: measureStore(s.Machine(cfg), c.policy, c.setup)}
 	})
 	return rows
 }

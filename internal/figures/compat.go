@@ -6,7 +6,7 @@ import (
 )
 
 // Experiment execution moved to internal/exper (the point spec, machine
-// reuse pool, and parallel sweep executor live there); these aliases keep
+// slots, and parallel sweep executor live there); these aliases keep
 // the original figures names working for existing callers during the
 // migration. New code should use exper directly — figures is the
 // presentation layer and only renders experiment results.
@@ -47,11 +47,8 @@ func Patterns(o RunOpts) []Pattern { return exper.Patterns(o) }
 // RealApps lists the figure 2/6 applications in paper order.
 func RealApps() []RealApp { return exper.RealApps() }
 
-// NewMachine builds (or recycles) a machine for one bar.
+// NewMachine builds a machine for one bar; close it when done.
 func NewMachine(o RunOpts, b Bar) *machine.Machine { return exper.NewMachine(o, b) }
-
-// ReleaseMachine returns a machine to the exper reuse pool.
-func ReleaseMachine(m *machine.Machine) { exper.ReleaseMachine(m) }
 
 // Sweep fans job(0)..job(n-1) across par workers (see exper.Sweep).
 func Sweep(n, par int, job func(i int)) { exper.Sweep(n, par, job) }

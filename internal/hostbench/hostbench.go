@@ -111,18 +111,22 @@ func MeshTransit(dist int, routers bool) func(b *testing.B) {
 
 // MachineRun measures one end-to-end contended-counter simulation per
 // iteration — the alloc profile of the whole machine stack (engine pool,
-// preallocated proc callbacks, protocol layer) rather than the bare engine.
+// proc coroutines, protocol layer) rather than the bare engine. The
+// benchmark owns a machine slot across iterations, as a one-off caller
+// running several points would.
 func MachineRun(b *testing.B) {
 	b.ReportAllocs()
 	bar := exper.Bar{Policy: core.PolicyUNC, Prim: locks.PrimFAP}
 	o := exper.RunOpts{Procs: 8, Rounds: 3}
 	pat := apps.Pattern{Contention: 8, Rounds: o.Rounds}
+	var slot exper.MachineSlot
+	defer slot.Close()
+	cfg := exper.MachineConfig(o, bar)
 	var events uint64
 	for i := 0; i < b.N; i++ {
-		m := exper.NewMachine(o, bar)
+		m := slot.Machine(cfg)
 		apps.CounterApp(m, bar.Policy, bar.Opts(), pat)
 		events += m.Engine().EventsExecuted()
-		exper.ReleaseMachine(m)
 	}
 	sec := b.Elapsed().Seconds()
 	if events > 0 && sec > 0 {

@@ -1,19 +1,24 @@
 // Package machine assembles the simulated multiprocessor and provides the
 // execution-driven front end that plays the role MINT plays in the paper:
-// application code runs as one goroutine per simulated processor and issues
+// application code runs on one coroutine per simulated processor and issues
 // timed memory references to the back end (internal/core) through a Proc
 // handle.
 //
-// Determinism: the simulation engine and at most one processor goroutine
-// are runnable at any instant. The engine resumes a processor and then
-// blocks until that processor submits its next action (a memory operation,
-// a compute delay, a barrier arrival, or termination). All back-end
-// activity happens in the engine's event loop, so a given program and
-// configuration always produce the same cycle-for-cycle execution.
+// Determinism: the simulation engine and the processor coroutines never
+// run at the same time. The engine switches to a processor, which runs
+// until it hands back its next action (a memory operation, a compute
+// delay, a barrier arrival, or termination). All back-end activity happens
+// in the engine's event loop, so a given program and configuration always
+// produce the same cycle-for-cycle execution.
+//
+// Lifecycle: a processor's coroutine starts with its first program and
+// lives across runs and Resets, so a machine holds parked goroutines until
+// Close. Close every machine that is no longer needed.
 package machine
 
 import (
 	"fmt"
+	"runtime"
 
 	"dsm/internal/arch"
 	"dsm/internal/core"
@@ -44,13 +49,6 @@ type Machine struct {
 	// closures) across runs. Reset leaves it alone: it carries host-side
 	// scaffolding only, never simulated state.
 	appScratch any
-
-	// pooled marks a machine currently resident in a reuse pool, mirroring
-	// the freed flag on pooled protocol messages: releasing an
-	// already-released machine would let two callers share one machine and
-	// silently corrupt both runs, so pools use MarkPooled/ClearPooled to
-	// turn that misuse into an immediate panic.
-	pooled bool
 
 	// ctxQuantum, when non-zero, models multiprogramming context switches
 	// as on the MIPS R4000 (paper section 2.1): every quantum, each
@@ -153,20 +151,6 @@ func (m *Machine) Reset(cfg core.Config) bool {
 	}
 	return true
 }
-
-// MarkPooled records that the machine entered a reuse pool. It reports
-// false when the machine is already marked — a double release.
-func (m *Machine) MarkPooled() bool {
-	if m.pooled {
-		return false
-	}
-	m.pooled = true
-	return true
-}
-
-// ClearPooled records that the machine left the pool and is owned by a
-// caller again.
-func (m *Machine) ClearPooled() { m.pooled = false }
 
 // Procs returns the number of simulated processors.
 func (m *Machine) Procs() int { return m.cfg.Nodes }
@@ -294,6 +278,13 @@ func (m *Machine) AppScratch() any { return m.appScratch }
 // SetAppScratch stores an application-layer cache on the machine.
 func (m *Machine) SetAppScratch(v any) { m.appScratch = v }
 
+// goschedSteps is how many engine steps RunEach takes between offers of its
+// thread to the Go scheduler. A switch to a processor coroutine does not
+// pass through the scheduler, so without these a long run holds its thread
+// until the runtime preempts it, and goroutines queued behind it (other
+// requests' handlers, in a server) wait that long.
+const goschedSteps = 1024
+
 // RunEach executes programs[i] on processor i (nil entries idle). It
 // returns the elapsed simulated time.
 func (m *Machine) RunEach(programs []func(p *Proc)) sim.Time {
@@ -320,9 +311,12 @@ func (m *Machine) RunEach(programs []func(p *Proc)) sim.Time {
 		}
 		m.eng.At(start, m.procs[i].resumeFn)
 	}
-	for m.running > 0 {
+	for n := 1; m.running > 0; n++ {
 		if !m.eng.Step() {
 			panic(fmt.Sprintf("machine: deadlock with %d processors unfinished", m.running))
+		}
+		if n%goschedSteps == 0 {
+			runtime.Gosched()
 		}
 	}
 	elapsed := m.eng.Now() - start

@@ -7,7 +7,7 @@ import (
 	"dsm/internal/sim"
 )
 
-// actionKind classifies what a processor goroutine asks of the engine.
+// actionKind classifies what a processor program asks of the engine.
 type actionKind uint8
 
 const (
@@ -39,22 +39,27 @@ type ProcStats struct {
 type Proc struct {
 	m    *Machine
 	node mesh.NodeID
+	rng  sim.RNG
 
-	resume chan core.Result
-	action chan action
-	rng    sim.RNG
+	// The processor runs its programs on one coroutine (see coro.go),
+	// started on the first program and kept across runs and Resets. The
+	// engine switches in with next; the program switches back out with
+	// yield. act is the action the program hands the engine and res the
+	// result the engine hands back, so a switch carries no value.
+	next  func() (struct{}, bool)
+	stop  func()
+	yield func(struct{}) bool
+	act   action
+	res   core.Result
+
+	// prog is the program the coroutine runs next, set by begin.
+	prog func(*Proc)
 
 	// done and resumeFn are preallocated once per Proc so the per-operation
 	// hot path (one Done callback per memory reference, one resume callback
 	// per compute delay) schedules without allocating a closure.
 	done     func(core.Result)
 	resumeFn func()
-
-	// prog is the program the current (or next) goroutine runs, and runFn
-	// the preallocated `func() { p.run() }` bound-method value begin
-	// spawns: `go p.run()` would allocate that binding per launch.
-	prog  func(*Proc)
-	runFn func()
 
 	lastSerial arch.Word // serial returned by the most recent load_linked
 	stats      ProcStats
@@ -63,50 +68,40 @@ type Proc struct {
 func (p *Proc) init(m *Machine, n mesh.NodeID) {
 	p.m = m
 	p.node = n
-	p.resume = make(chan core.Result)
-	p.action = make(chan action)
 	p.done = func(res core.Result) { p.step(res) }
 	p.resumeFn = func() { p.step(core.Result{}) }
-	p.runFn = p.run
 }
 
-// begin prepares the processor for a program and starts its goroutine. The
-// goroutine waits for the engine's first resume before touching anything.
-// The rendezvous channels are reused across programs (the previous program's
-// goroutine has exited and left them empty).
+// begin prepares the processor for a program, starting its coroutine if
+// it has none. The program starts on the engine's first resume.
 func (p *Proc) begin(prog func(*Proc), seed uint64) {
 	var base sim.RNG
 	base.Seed(seed)
 	base.ForkInto(&p.rng, uint64(p.node))
 	p.lastSerial = 0
-	// Writing prog here is ordered before the new goroutine's read; the
-	// previous goroutine read it once at startup and has since signalled
-	// actDone, so no concurrent reader remains.
 	p.prog = prog
-	go p.runFn()
+	if p.next == nil {
+		p.start()
+	}
 }
 
-// run is the processor goroutine's body. It waits for the engine's first
-// resume before touching anything.
-func (p *Proc) run() {
-	<-p.resume
-	p.prog(p)
-	p.action <- action{kind: actDone}
-}
-
-// step transfers control to the processor goroutine, waits for its next
-// action, and dispatches it. It runs on the engine goroutine, inside an
-// event; exactly one goroutine is runnable at any instant.
+// step switches to the processor's program, which runs until its next
+// action, and dispatches that action. It runs on the engine goroutine,
+// inside an event; the program runs only between the switch in and the
+// switch back, so exactly one of the two is running at any instant. A
+// program's panic propagates out of the switch, and so out of Run.
 func (p *Proc) step(r core.Result) {
-	p.resume <- r
-	act := <-p.action
-	switch act.kind {
+	p.res = r
+	if _, ok := p.next(); !ok {
+		panic("machine: processor reused after a panicked run; Close the machine")
+	}
+	switch p.act.kind {
 	case actIssue:
-		req := act.req
+		req := p.act.req
 		req.Done = p.done
 		p.m.sys.Cache(p.node).Issue(req)
 	case actCompute:
-		p.m.eng.After(act.cycles, p.resumeFn)
+		p.m.eng.After(p.act.cycles, p.resumeFn)
 	case actBarrier:
 		p.m.arriveBarrier(p)
 	case actDone:
@@ -114,12 +109,23 @@ func (p *Proc) step(r core.Result) {
 	}
 }
 
+// suspend hands a to the engine and parks the program until the engine
+// resumes it, returning the result it resumed with. When the machine is
+// closed instead, the program unwinds (see Machine.Close) rather than
+// carry on with a zero result: a spin loop would never suspend again.
+func (p *Proc) suspend(a action) core.Result {
+	p.act = a
+	if !p.yield(struct{}{}) {
+		panic(stopped{})
+	}
+	return p.res
+}
+
 // do issues one memory operation and blocks (in simulated time) until it
 // completes.
 func (p *Proc) do(req core.Request) core.Result {
 	start := p.m.eng.Now()
-	p.action <- action{kind: actIssue, req: req}
-	r := <-p.resume
+	r := p.suspend(action{kind: actIssue, req: req})
 	p.stats.Ops++
 	p.stats.MemoryCycles += p.m.eng.Now() - start
 	return r
@@ -144,8 +150,7 @@ func (p *Proc) Compute(n sim.Time) {
 		return
 	}
 	p.stats.ComputeCycles += n
-	p.action <- action{kind: actCompute, cycles: n}
-	<-p.resume
+	p.suspend(action{kind: actCompute, cycles: n})
 }
 
 // Barrier joins the MINT-style constant-time barrier across all processors
@@ -154,8 +159,7 @@ func (p *Proc) Compute(n sim.Time) {
 // after the last arrival).
 func (p *Proc) Barrier() {
 	start := p.m.eng.Now()
-	p.action <- action{kind: actBarrier}
-	<-p.resume
+	p.suspend(action{kind: actBarrier})
 	p.stats.Barriers++
 	p.stats.BarrierCycles += p.m.eng.Now() - start
 }

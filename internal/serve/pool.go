@@ -15,10 +15,9 @@ import (
 // Each worker goroutine owns one exper.MachineSlot for its lifetime and
 // hands it to every job it runs: a job executes its simulation on the
 // slot's resident machine, which the next job on the same worker resets
-// and reuses. Machines therefore never cross goroutines and never visit
-// the shared sync.Pool — at GOMAXPROCS > 1 the per-request path has no
-// machine-pool lock, no MarkPooled/ClearPooled transitions, and no
-// cross-core machine handoff.
+// and reuses. Machines therefore never cross goroutines — at GOMAXPROCS > 1
+// the per-request path has no machine-pool lock and no cross-core machine
+// handoff. A worker closes its slot when the pool closes.
 type workerPool struct {
 	mu     sync.Mutex // serializes submit against close
 	closed bool
@@ -33,6 +32,7 @@ func newWorkerPool(workers, queue int) *workerPool {
 		go func() {
 			defer p.wg.Done()
 			var slot exper.MachineSlot // this worker's machine, reused across jobs
+			defer slot.Close()
 			for job := range p.jobs {
 				job(&slot)
 			}

@@ -251,11 +251,11 @@ func (s *Server) start(spec Spec, key string, queueWait time.Duration) (*cacheEn
 // its canonical JSON bytes, converting a panic anywhere under the
 // simulator into an error so one bad run cannot take down a worker. A
 // panicked run leaves the slot's machine in an unknown state, so the slot
-// is cleared and the next job on this worker builds a fresh machine.
+// is closed and the next job on this worker builds a fresh machine.
 func (s *Server) runEncoded(spec Spec, slot *exper.MachineSlot) (data []byte, err error) {
 	defer func() {
 		if r := recover(); r != nil {
-			*slot = exper.MachineSlot{}
+			slot.Close()
 			err = fmt.Errorf("simulation failed: %v", r)
 		}
 	}()
