@@ -31,6 +31,19 @@ func BlockBase(a Addr) Addr { return a &^ (BlockBytes - 1) }
 // BlockNumber returns the index of the block containing a.
 func BlockNumber(a Addr) uint32 { return uint32(a) / BlockBytes }
 
+// HomeLocalBlock returns the index of a's block among the blocks homed at
+// node home, when blocks are interleaved across nodes by block number: the
+// dense index each home's directory and memory tables use. It panics when
+// a's block is homed at another node.
+func HomeLocalBlock(a Addr, home, nodes uint32) uint32 {
+	b := BlockNumber(a)
+	i := b / nodes
+	if b-i*nodes != home {
+		panic(fmt.Sprintf("arch: block %#x is not homed at node %d of %d", uint32(BlockBase(a)), home, nodes))
+	}
+	return i
+}
+
 // WordIndex returns the index within its block of the word containing a.
 func WordIndex(a Addr) int { return int(a%BlockBytes) / WordBytes }
 

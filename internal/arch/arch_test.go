@@ -67,3 +67,24 @@ func TestConstantsConsistent(t *testing.T) {
 		t.Fatal("paper-mandated sizes changed")
 	}
 }
+
+func TestHomeLocalBlockInvertsInterleaving(t *testing.T) {
+	f := func(a uint32, n uint8) (ok bool) {
+		nodes := uint32(n%64) + 1
+		b := BlockNumber(Addr(a))
+		home := b % nodes
+		if HomeLocalBlock(Addr(a), home, nodes)*nodes+home != b {
+			return false
+		}
+		if nodes == 1 {
+			return true
+		}
+		// Any other home must refuse the block.
+		defer func() { ok = recover() != nil }()
+		HomeLocalBlock(Addr(a), (home+1)%nodes, nodes)
+		return false
+	}
+	if err := quick.Check(f, nil); err != nil {
+		t.Error(err)
+	}
+}

@@ -23,21 +23,37 @@ type reissuer struct {
 
 // TestHotPathZeroAlloc pins the PR's central invariant: once the message
 // pool, event pool, and stats tables are warm, the request -> message ->
-// delivery -> completion path allocates nothing, under all three policies.
+// delivery -> completion path allocates nothing, under all three policies,
+// with tracking on. System.Reset must keep it so: the directory, memory and
+// tracker tables are cleared in place, so a reset-and-rerun cycle
+// allocates nothing either.
 func TestHotPathZeroAlloc(t *testing.T) {
 	cfg := DefaultConfig()
 	cfg.Nodes = 4
 	cfg.Mesh.Width, cfg.Mesh.Height = 2, 2
+	if !cfg.Track {
+		t.Fatal("DefaultConfig does not track")
+	}
 	eng := sim.NewEngine()
 	net := mesh.New(eng, cfg.Mesh)
 	sys := NewSystem(eng, net, cfg)
 
+	// Two copies of the INV/UPD/UNC sync words, the second 12 KiB up, so
+	// the tracked locations span several pages of the location index (and
+	// of each home's directory and memory tables). 0x3000 is a multiple of
+	// 4 blocks, so both copies of a word share a home.
+	const far = 0x3000
 	inv := arch.Addr(1 * arch.BlockBytes) // homed at node 1, PolicyINV default
 	upd := arch.Addr(2 * arch.BlockBytes) // homed at node 2
 	unc := arch.Addr(3 * arch.BlockBytes) // homed at node 3
-	sys.SetPolicy(upd, PolicyUPD)
-	sys.SetPolicy(unc, PolicyUNC)
-	addrs := []arch.Addr{inv, upd, unc}
+	setPolicies := func() {
+		for _, off := range []arch.Addr{0, far} {
+			sys.SetPolicy(upd+off, PolicyUPD)
+			sys.SetPolicy(unc+off, PolicyUNC)
+		}
+	}
+	setPolicies()
+	addrs := []arch.Addr{inv, upd, unc, inv + far, upd + far, unc + far}
 
 	remaining := 0
 	drivers := make([]*reissuer, cfg.Nodes)
@@ -88,6 +104,21 @@ func TestHotPathZeroAlloc(t *testing.T) {
 
 	if got := testing.AllocsPerRun(10, run); got != 0 {
 		t.Fatalf("steady-state hot path allocated %.1f times per run, want 0", got)
+	}
+	sys.CheckCoherence()
+
+	rerun := func() {
+		if !sys.Reset(cfg) {
+			t.Fatal("Reset refused the system's own config")
+		}
+		setPolicies()
+		run()
+	}
+	if got := testing.AllocsPerRun(10, rerun); got != 0 {
+		t.Fatalf("Reset plus rerun allocated %.1f times per run, want 0", got)
+	}
+	if n := sys.Contention().Histogram().Total(); n != uint64(len(addrs)*len(drivers)*opsPerDriver) {
+		t.Fatalf("contention samples after rerun = %d, want %d", n, len(addrs)*len(drivers)*opsPerDriver)
 	}
 	sys.CheckCoherence()
 }

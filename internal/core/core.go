@@ -185,9 +185,10 @@ type System struct {
 
 	counters   Counters
 	chains     *stats.ChainRecorder
+	locs       *stats.LocIndex // location ids shared by the two trackers
 	contention *stats.ContentionTracker
 	writeRuns  *stats.WriteRunTracker
-	syncLocs   map[arch.Addr]bool // word addresses ever accessed atomically
+	syncLocs   []bool // location id -> accessed atomically (write-run tracked)
 
 	tracer Tracer
 }
@@ -225,10 +226,8 @@ func NewSystem(eng *sim.Engine, net *mesh.Mesh, cfg Config) *System {
 		chains: stats.NewChainGrid(proto.NumOps, proto.NumPolicies, func(op, pol int) string {
 			return OpKind(op).String() + "/" + Policy(pol).String()
 		}),
-		contention: stats.NewContentionTracker(),
-		writeRuns:  stats.NewWriteRunTracker(),
-		syncLocs:   make(map[arch.Addr]bool),
 	}
+	s.locs, s.contention, s.writeRuns = stats.NewTrackers()
 	// Controllers live in two slabs; the pointer slices index into them.
 	ccs := make([]CacheCtl, cfg.Nodes)
 	hcs := make([]HomeCtl, cfg.Nodes)
@@ -245,7 +244,7 @@ func NewSystem(eng *sim.Engine, net *mesh.Mesh, cfg Config) *System {
 
 // Reset returns the system to its post-NewSystem state under cfg, keeping
 // every allocation: controller slabs, cache line storage (invalidated by
-// epoch), directory and memory maps (cleared in place), the message pool,
+// epoch), directory and memory tables (cleared in place), the message pool,
 // and the stats trackers. It reports whether the reset was possible: cfg
 // must match the existing controllers' structure (node count, cache and
 // memory geometry); behavioral fields (CAS variant, retry delay,
@@ -264,7 +263,7 @@ func (s *System) Reset(cfg Config) bool {
 	s.chains.Reset()
 	s.contention.Reset()
 	s.writeRuns.Reset()
-	clear(s.syncLocs)
+	s.syncLocs = s.syncLocs[:0]
 	s.tracer = nil
 	for n := range s.caches {
 		s.caches[n].reset()
@@ -396,12 +395,22 @@ func (s *System) trackAccess(a arch.Addr, proc mesh.NodeID, op OpKind, wrote boo
 		return
 	}
 	loc := stats.Location(a)
+	var id int
 	if op.IsAtomic() {
-		s.syncLocs[a] = true
+		id = s.locs.Intern(loc)
+		for id >= len(s.syncLocs) {
+			s.syncLocs = append(s.syncLocs, false)
+		}
+		s.syncLocs[id] = true
+	} else {
+		// A location interned by a contention Begin whose atomic access
+		// has not yet completed is not a sync location yet.
+		var ok bool
+		if id, ok = s.locs.Lookup(loc); !ok || id >= len(s.syncLocs) || !s.syncLocs[id] {
+			return
+		}
 	}
-	if s.syncLocs[a] {
-		s.writeRuns.Access(loc, int(proc), wrote)
-	}
+	s.writeRuns.AccessID(id, int(proc), wrote)
 }
 
 // net reports whether a message between two nodes crosses the network.

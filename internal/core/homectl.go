@@ -20,6 +20,13 @@ type homeTxn struct {
 	orig  *msg        // request to replay when the data arrives; nil for awaitWB
 }
 
+// busyTxn is one entry of a home's busy table: a block with a transaction
+// in flight.
+type busyTxn struct {
+	base arch.Addr
+	homeTxn
+}
+
 // HomeCtl is one node's memory/directory controller: the serialization
 // point for its share of the address space, and the locus of computational
 // power for the UPD and UNC implementations of the atomic primitives. Like
@@ -32,7 +39,11 @@ type HomeCtl struct {
 	node mesh.NodeID
 	mod  mem.Module
 	dir  dir.Directory
-	busy map[arch.Addr]homeTxn // block base -> in-flight transaction
+	// busy lists the blocks with a transaction in flight. Each retains one
+	// requester's message, so it holds at most one entry per node and is
+	// usually empty: a linear scan beats hashing the block on every
+	// request.
+	busy []busyTxn
 
 	// Preallocated hooks: recvHook receives a delivered message (via
 	// Mesh.SendArg); processHook runs it after the memory-bank queue delay
@@ -64,26 +75,25 @@ type HomeCtl struct {
 func (h *HomeCtl) init(s *System, n mesh.NodeID) {
 	h.sys = s
 	h.node = n
-	h.mod.Init(s.eng, s.cfg.Mem)
-	h.dir.Init()
-	h.busy = make(map[arch.Addr]homeTxn)
+	h.mod.Init(s.eng, s.cfg.Mem, int(n), s.cfg.Nodes)
+	h.dir.Init(n, s.cfg.Nodes)
 	h.recvHook = func(a any) { h.receive(a.(*msg)) }
 	h.processHook = func(a any) { h.process(a.(*msg)) }
 }
 
 // reset returns the controller to its post-init state for machine reuse,
-// keeping the preallocated hooks and map storage. Any request message still
-// retained by an in-flight transaction goes back to the pool (a quiescent
-// system has none).
+// keeping the preallocated hooks and table storage. Any request message
+// still retained by an in-flight transaction goes back to the pool (a
+// quiescent system has none).
 func (h *HomeCtl) reset() {
 	h.mod.Reset()
 	h.dir.Reset()
-	for base, t := range h.busy {
+	for _, t := range h.busy {
 		if t.orig != nil {
 			h.sys.freeMsg(t.orig)
 		}
-		delete(h.busy, base)
 	}
+	h.busy = h.busy[:0]
 	h.retained = false
 	h.replay = nil
 }
@@ -137,7 +147,7 @@ func (h *HomeCtl) dispatchRequest(m *msg, base arch.Addr) {
 // picks the row, and the entry invariants are re-checked after the rule's
 // actions run.
 func (h *HomeCtl) handleRequest(m *msg, base arch.Addr) {
-	if _, inFlight := h.busy[base]; inFlight {
+	if h.busyAt(base) != nil {
 		h.runRules(proto.HomeReq[proto.HBusy][m.kind], m, base, nil)
 		return
 	}
@@ -173,7 +183,7 @@ func (h *HomeCtl) runRules(rules []proto.HRule, m *msg, base arch.Addr, e *dir.E
 	panic(fmt.Sprintf("core: home %d: no rule for %v", h.node, m.kind))
 }
 
-// guard evaluates one predicate against the directory entry, the busy map,
+// guard evaluates one predicate against the directory entry, the busy table,
 // the incoming message, and the system configuration. Guards a table row
 // cannot reach may be passed a nil entry.
 func (h *HomeCtl) guard(g proto.HomeGuard, m *msg, base arch.Addr, e *dir.Entry) bool {
@@ -189,14 +199,13 @@ func (h *HomeCtl) guard(g proto.HomeGuard, m *msg, base arch.Addr, e *dir.Entry)
 	case proto.HGCASShare:
 		return h.sys.cfg.CAS == CASShare
 	case proto.HGBusyBlock:
-		_, inFlight := h.busy[base]
-		return inFlight
+		return h.busyAt(base) != nil
 	case proto.HGFromOwnerOrig:
-		t, inFlight := h.busy[base]
-		return inFlight && t.owner == m.src && t.orig != nil
+		t := h.busyAt(base)
+		return t != nil && t.owner == m.src && t.orig != nil
 	case proto.HGFromOwner:
-		t, inFlight := h.busy[base]
-		return inFlight && t.owner == m.src
+		t := h.busyAt(base)
+		return t != nil && t.owner == m.src
 	}
 	panic(fmt.Sprintf("core: home %d: unknown guard %v", h.node, g))
 }
@@ -293,7 +302,7 @@ func (h *HomeCtl) apply(a proto.HAct, m *msg, base arch.Addr, e *dir.Entry) {
 		h.reply(m, r)
 
 	case proto.HAcceptUnowned, proto.HAcceptShare:
-		t := h.busy[base]
+		t := h.endBusy(base)
 		if m.src != t.owner {
 			panic(fmt.Sprintf("core: home %d got %v for busy %#x from %d, expected %d",
 				h.node, m.kind, base, m.src, t.owner))
@@ -311,7 +320,6 @@ func (h *HomeCtl) apply(a proto.HAct, m *msg, base arch.Addr, e *dir.Entry) {
 			ent.Sharers = 0
 			ent.Owner = 0
 		}
-		delete(h.busy, base)
 		ent.Check(base)
 		h.replay = t.orig
 
@@ -357,23 +365,44 @@ func (h *HomeCtl) apply(a proto.HAct, m *msg, base arch.Addr, e *dir.Entry) {
 		// The owner's copy is already on its way back as a write-back. NAK
 		// the waiting requester (it will retry, per the paper's drop_copy
 		// discussion) and hold the block until the write-back lands.
-		t := h.busy[base]
+		t := h.busyAt(base)
 		h.nak(t.orig)
 		h.sys.freeMsg(t.orig)
 		t.orig = nil
-		h.busy[base] = t
 
 	case proto.HReleaseBusy:
 		// INVd failure handled entirely at the owner; ownership is unchanged.
-		t := h.busy[base]
-		if t.orig != nil {
+		if t := h.endBusy(base); t.orig != nil {
 			h.sys.freeMsg(t.orig)
 		}
-		delete(h.busy, base)
 
 	default:
 		panic(fmt.Sprintf("core: home %d: unknown action %v", h.node, a.Do))
 	}
+}
+
+// busyAt returns the transaction in flight on the block at base, or nil.
+func (h *HomeCtl) busyAt(base arch.Addr) *homeTxn {
+	for i := range h.busy {
+		if h.busy[i].base == base {
+			return &h.busy[i].homeTxn
+		}
+	}
+	return nil
+}
+
+// endBusy removes the block at base from the busy table and returns its
+// transaction (the zero homeTxn if it had none).
+func (h *HomeCtl) endBusy(base arch.Addr) homeTxn {
+	for i := range h.busy {
+		if t := h.busy[i]; t.base == base {
+			last := len(h.busy) - 1
+			h.busy[i] = h.busy[last]
+			h.busy = h.busy[:last]
+			return t.homeTxn
+		}
+	}
+	return homeTxn{}
 }
 
 // reply sends a response to the transaction's requester.
@@ -395,7 +424,8 @@ func (h *HomeCtl) nak(m *msg) {
 // the data (or, for mCASFwd, for an owner-side comparison). It takes
 // ownership of m, holding it for replay when the data arrives.
 func (h *HomeCtl) recall(m *msg, base arch.Addr, owner mesh.NodeID, kind msgKind) {
-	h.busy[base] = homeTxn{owner: owner, orig: m}
+	// handleRequest refuses requests for busy blocks, so base is not busy.
+	h.busy = append(h.busy, busyTxn{base: base, homeTxn: homeTxn{owner: owner, orig: m}})
 	h.retained = true
 	fwd := h.sys.newMsg()
 	*fwd = msg{

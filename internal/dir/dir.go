@@ -84,6 +84,7 @@ func (b Bitset) Only(n mesh.NodeID) bool { return b == 1<<uint(n) }
 // Entry is the directory record for one block.
 type Entry struct {
 	State   State
+	known   bool        // referenced since the last Init or Reset
 	Sharers Bitset      // caches holding read-only copies (State == Shared)
 	Owner   mesh.NodeID // cache holding the exclusive copy (State == Exclusive)
 
@@ -92,39 +93,53 @@ type Entry struct {
 	Reservations *ResvState
 }
 
-// Directory is the per-home-node collection of entries, keyed by block base
-// address. Entries are created on first reference in the Unowned state.
+// Directory-table geometry: entries live by value in pages of
+// dirPageEntries, indexed by the home-local block number and made on the
+// first reference that touches them.
+const (
+	dirPageShift   = 5
+	dirPageEntries = 1 << dirPageShift
+)
+
+// Directory is one home node's collection of entries. Blocks are
+// interleaved across the machine's nodes by block number, so the blocks a
+// home owns are every nodes-th one; a two-level table indexed by the
+// home-local block number, BlockNumber/nodes, holds them densely. Entries
+// are created on first reference in the Unowned state.
 type Directory struct {
-	entries map[arch.Addr]*Entry
+	home, nodes uint32
+	pages       []*[dirPageEntries]Entry
 }
 
-// New returns an empty directory.
+// New returns an empty directory for a single-node machine, which homes
+// every block.
 func New() *Directory {
 	d := &Directory{}
-	d.Init()
+	d.Init(0, 1)
 	return d
 }
 
-// Init (re)initializes a directory in place, for callers that embed
-// Directory by value.
-func (d *Directory) Init() {
-	d.entries = make(map[arch.Addr]*Entry)
+// Init (re)initializes a directory in place as home's directory in a
+// machine of nodes nodes, for callers that embed Directory by value.
+func (d *Directory) Init(home mesh.NodeID, nodes int) {
+	*d = Directory{home: uint32(home), nodes: uint32(nodes)}
 }
 
 // Reset forgets every entry's contents, returning the directory to a state
-// protocol-equivalent to post-Init while keeping the entries themselves
-// allocated: a reused machine references the same blocks every run, and
-// keeping the records makes Entry allocation-free in the steady state.
-// Lingering Unowned entries are invisible to the protocol (Entry would have
-// created an identical record on first touch) and to the coherence checker
-// (which only inspects entries for blocks actually cached).
+// equivalent to post-Init while keeping the pages, and each entry's
+// reservation state, allocated: a reused machine references the same
+// blocks every run, so Entry allocates nothing in the steady state.
 func (d *Directory) Reset() {
-	for _, e := range d.entries {
-		e.State = Unowned
-		e.Sharers = 0
-		e.Owner = 0
-		if e.Reservations != nil {
-			e.Reservations.Reset()
+	for _, pg := range d.pages {
+		if pg == nil {
+			continue
+		}
+		for i := range pg {
+			e := &pg[i]
+			*e = Entry{Reservations: e.Reservations}
+			if e.Reservations != nil {
+				e.Reservations.Reset()
+			}
 		}
 	}
 }
@@ -132,26 +147,47 @@ func (d *Directory) Reset() {
 // Entry returns the entry for the block containing a, creating it (Unowned)
 // on first reference.
 func (d *Directory) Entry(a arch.Addr) *Entry {
-	base := arch.BlockBase(a)
-	e := d.entries[base]
-	if e == nil {
-		e = &Entry{State: Unowned}
-		d.entries[base] = e
+	i := arch.HomeLocalBlock(a, d.home, d.nodes)
+	p := int(i >> dirPageShift)
+	if p >= len(d.pages) {
+		d.pages = append(d.pages, make([]*[dirPageEntries]Entry, p+1-len(d.pages))...)
 	}
+	pg := d.pages[p]
+	if pg == nil {
+		pg = new([dirPageEntries]Entry)
+		d.pages[p] = pg
+	}
+	e := &pg[i&(dirPageEntries-1)]
+	e.known = true
 	return e
 }
 
 // Peek returns the entry for the block containing a, or nil if the block
-// has never been referenced.
+// has not been referenced since the last Init or Reset.
 func (d *Directory) Peek(a arch.Addr) *Entry {
-	return d.entries[arch.BlockBase(a)]
+	i := arch.HomeLocalBlock(a, d.home, d.nodes)
+	p := int(i >> dirPageShift)
+	if p >= len(d.pages) || d.pages[p] == nil {
+		return nil
+	}
+	if e := &d.pages[p][i&(dirPageEntries-1)]; e.known {
+		return e
+	}
+	return nil
 }
 
-// ForEach calls fn for every allocated entry. Iteration order is
-// unspecified; callers needing determinism must sort.
+// ForEach calls fn for every referenced entry, in increasing address order.
 func (d *Directory) ForEach(fn func(arch.Addr, *Entry)) {
-	for a, e := range d.entries {
-		fn(a, e)
+	for p, pg := range d.pages {
+		if pg == nil {
+			continue
+		}
+		for j := range pg {
+			if e := &pg[j]; e.known {
+				b := (uint32(p)<<dirPageShift|uint32(j))*d.nodes + d.home
+				fn(arch.Addr(b*arch.BlockBytes), e)
+			}
+		}
 	}
 }
 

@@ -1,6 +1,7 @@
 package dir
 
 import (
+	"reflect"
 	"testing"
 	"testing/quick"
 
@@ -170,4 +171,50 @@ func TestStateString(t *testing.T) {
 	if State(99).String() == "" {
 		t.Error("unknown state has empty name")
 	}
+}
+
+// TestDirectoryHomeLocalTable drives one home of a 16-node machine: blocks
+// homed there, near and far, get distinct entries; ForEach reports them in
+// address order under their own bases; Reset empties the table but keeps
+// reservation state; a block homed elsewhere panics.
+func TestDirectoryHomeLocalTable(t *testing.T) {
+	const home, nodes = 3, 16
+	var d Directory
+	d.Init(home, nodes)
+	bases := []arch.Addr{
+		home * arch.BlockBytes,
+		(nodes + home) * arch.BlockBytes,
+		(40*nodes + home) * arch.BlockBytes, // a later page
+		arch.Addr((0xffffffff/arch.BlockBytes/nodes-1)*nodes+home) * arch.BlockBytes,
+	}
+	for i, b := range bases {
+		d.Entry(b + 4).Owner = mesh.NodeID(i + 1)
+	}
+	var seen []arch.Addr
+	d.ForEach(func(a arch.Addr, e *Entry) {
+		if e.Owner != mesh.NodeID(len(seen)+1) {
+			t.Fatalf("entry at %#x has owner %d, want %d", a, e.Owner, len(seen)+1)
+		}
+		seen = append(seen, a)
+	})
+	if !reflect.DeepEqual(seen, bases) {
+		t.Fatalf("ForEach visited %#x, want %#x", seen, bases)
+	}
+
+	rs := NewResvState(ResvBitVector, 0)
+	d.Entry(bases[1]).Reservations = rs
+	d.Reset()
+	if d.Peek(bases[0]) != nil {
+		t.Fatal("Peek found an entry after Reset")
+	}
+	if e := d.Entry(bases[1]); e.Owner != 0 || e.Reservations != rs {
+		t.Fatalf("entry after Reset = %+v, want empty with its reservation state kept", e)
+	}
+
+	defer func() {
+		if recover() == nil {
+			t.Fatal("Entry accepted a block homed at another node")
+		}
+	}()
+	d.Entry((home + 1) * arch.BlockBytes)
 }

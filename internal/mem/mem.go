@@ -31,28 +31,41 @@ type Stats struct {
 	QueueWait uint64 `json:"queue_wait"` // total cycles requests waited to start service
 }
 
-// Module is one node's memory bank plus its physical storage. Storage is
-// block-granular and sparse; absent blocks read as zero, matching the
-// zero-initialized shared address space the applications expect.
+// Memory-table geometry: block payloads live by value in pages of
+// memPageBlocks, indexed by the home-local block number and made on the
+// first touch.
+const (
+	memPageShift  = 5
+	memPageBlocks = 1 << memPageShift
+)
+
+// Module is one node's memory bank plus its physical storage. Blocks are
+// interleaved across the machine's nodes by block number, so a module
+// stores every nodes-th block; a two-level table indexed by the home-local
+// block number, BlockNumber/nodes, holds them densely. Absent blocks read
+// as zero, matching the zero-initialized shared address space the
+// applications expect.
 type Module struct {
-	eng   *sim.Engine
-	cfg   Config
-	busy  sim.Time // next service may start at this time
-	data  map[arch.Addr]*arch.BlockData
-	stats Stats
+	eng         *sim.Engine
+	cfg         Config
+	busy        sim.Time // next service may start at this time
+	home, nodes uint32
+	pages       []*[memPageBlocks]arch.BlockData
+	stats       Stats
 }
 
-// New returns an empty module with the given timing.
+// New returns an empty module with the given timing for a single-node
+// machine, which homes every block.
 func New(eng *sim.Engine, cfg Config) *Module {
 	m := &Module{}
-	m.Init(eng, cfg)
+	m.Init(eng, cfg, 0, 1)
 	return m
 }
 
-// Init (re)initializes a module in place, for callers that embed Module by
-// value.
-func (m *Module) Init(eng *sim.Engine, cfg Config) {
-	*m = Module{eng: eng, cfg: cfg, data: make(map[arch.Addr]*arch.BlockData)}
+// Init (re)initializes a module in place as home's module in a machine of
+// nodes nodes, for callers that embed Module by value.
+func (m *Module) Init(eng *sim.Engine, cfg Config, home, nodes int) {
+	*m = Module{eng: eng, cfg: cfg, home: uint32(home), nodes: uint32(nodes)}
 }
 
 // Stats returns a snapshot of the activity counters.
@@ -62,15 +75,17 @@ func (m *Module) Stats() Stats { return m.stats }
 func (m *Module) ResetStats() { m.stats = Stats{} }
 
 // Reset returns the module to its post-Init state: bank idle, counters
-// cleared, storage reading as zero everywhere. Block payloads are zeroed in
-// place rather than dropped: a reused machine touches the same blocks every
-// run, and a zeroed block is indistinguishable from an absent one, so
-// refilling after a reset allocates nothing in the steady state.
+// cleared, storage reading as zero everywhere. Pages are zeroed in place
+// rather than dropped: a reused machine touches the same blocks every run,
+// and a zeroed block is indistinguishable from an absent one, so refilling
+// after a reset allocates nothing in the steady state.
 func (m *Module) Reset() {
 	m.busy = 0
 	m.stats = Stats{}
-	for _, b := range m.data {
-		*b = arch.BlockData{}
+	for _, pg := range m.pages {
+		if pg != nil {
+			*pg = [memPageBlocks]arch.BlockData{}
+		}
 	}
 }
 
@@ -101,16 +116,20 @@ func (m *Module) serviceTime() sim.Time {
 	return start + m.cfg.Latency
 }
 
-// block returns the storage for the block containing a, allocating it on
-// first touch.
+// block returns the storage for the block containing a, making its page on
+// first touch. It panics when a's block belongs to another home.
 func (m *Module) block(a arch.Addr) *arch.BlockData {
-	base := arch.BlockBase(a)
-	b := m.data[base]
-	if b == nil {
-		b = new(arch.BlockData)
-		m.data[base] = b
+	i := arch.HomeLocalBlock(a, m.home, m.nodes)
+	p := int(i >> memPageShift)
+	if p >= len(m.pages) {
+		m.pages = append(m.pages, make([]*[memPageBlocks]arch.BlockData, p+1-len(m.pages))...)
 	}
-	return b
+	pg := m.pages[p]
+	if pg == nil {
+		pg = new([memPageBlocks]arch.BlockData)
+		m.pages[p] = pg
+	}
+	return &pg[i&(memPageBlocks-1)]
 }
 
 // ReadBlock returns a copy of the block containing a.

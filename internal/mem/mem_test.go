@@ -128,3 +128,38 @@ func TestMisalignedWordPanics(t *testing.T) {
 	}()
 	m.ReadWord(0x41)
 }
+
+// TestInterleavedModuleTable drives one home of a 4-node machine: blocks
+// homed there, near and far, keep independent contents; Reset zeroes them
+// in place; a block homed elsewhere panics.
+func TestInterleavedModuleTable(t *testing.T) {
+	const home, nodes = 2, 4
+	var m Module
+	m.Init(sim.NewEngine(), DefaultConfig(), home, nodes)
+	bases := []arch.Addr{
+		home * arch.BlockBytes,
+		(nodes + home) * arch.BlockBytes,
+		(100*nodes + home) * arch.BlockBytes,
+		0xffffffe0 - (nodes-1-home)*arch.BlockBytes, // the last block homed here
+	}
+	for i, b := range bases {
+		m.WriteWord(b+8, arch.Word(i+1))
+	}
+	for i, b := range bases {
+		if got := m.ReadWord(b + 8); got != arch.Word(i+1) {
+			t.Fatalf("word at %#x = %d, want %d", b+8, got, i+1)
+		}
+	}
+	m.Reset()
+	for _, b := range bases {
+		if m.ReadBlock(b) != (arch.BlockData{}) {
+			t.Fatalf("block %#x not zero after Reset", b)
+		}
+	}
+	defer func() {
+		if recover() == nil {
+			t.Fatal("WriteWord accepted a block homed at another node")
+		}
+	}()
+	m.WriteWord((home+1)*arch.BlockBytes, 1)
+}

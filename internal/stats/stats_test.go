@@ -241,18 +241,27 @@ func TestWriteRunLockPatternMeansNearTwo(t *testing.T) {
 }
 
 func TestChainRecorder(t *testing.T) {
-	c := NewChainRecorder()
-	c.Record("inv-store-remote-exclusive", 4)
-	c.Record("inv-store-remote-exclusive", 4)
-	c.Record("unc-store", 2)
+	classes := [][]string{{"inv-store-remote-exclusive", "unc-store"}, {"inv-load", "unc-load"}}
+	c := NewChainGrid(2, 2, func(row, col int) string { return classes[row][col] })
+	c.RecordAt(0, 0, 4)
+	c.RecordAt(0, 0, 4)
+	c.RecordAt(0, 1, 2)
 	if h := c.Class("inv-store-remote-exclusive"); h.Count(4) != 2 {
 		t.Fatalf("class hist = %s", h)
 	}
-	if c.Class("missing") != nil {
-		t.Fatal("missing class not nil")
+	if c.Class("missing") != nil || c.Class("inv-load") != nil {
+		t.Fatal("unrecorded class not nil")
 	}
-	if len(c.Classes()) != 2 {
-		t.Fatalf("Classes = %v", c.Classes())
+	if got := c.Classes(); !reflect.DeepEqual(got, []string{"inv-store-remote-exclusive", "unc-store"}) {
+		t.Fatalf("Classes = %v", got)
+	}
+	c.Reset()
+	if len(c.Classes()) != 0 || c.Class("unc-store") != nil {
+		t.Fatalf("Classes after Reset = %v", c.Classes())
+	}
+	c.RecordAt(1, 1, 3)
+	if got := c.Classes(); !reflect.DeepEqual(got, []string{"unc-load"}) || c.Class("unc-load").Count(3) != 1 {
+		t.Fatalf("Classes after re-record = %v", got)
 	}
 }
 
